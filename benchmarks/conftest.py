@@ -11,7 +11,8 @@ import os
 import pytest
 
 #: Workload scale for figure benches (1.0 = the library's default scale,
-#: ~1/16.7 of the paper's trace length; see DESIGN.md).
+#: ~1/16.7 of the paper's trace length; see the ``scale`` row of
+#: docs/experiments.md).
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.4"))
 
 #: Workload trials per experimental cell.

@@ -1,6 +1,8 @@
 """Tests for the completion estimator (Eq. 1/2 + memoization)."""
 
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.sim.task import Task
 from repro.stochastic.etc import ETCMatrix
 from repro.stochastic.pet import PETMatrix
 from repro.stochastic.pmf import PMF
+from repro.service.snapshot import _dump_estimator, _load_estimator
+from repro.system import completion
 from repro.system.completion import CompletionEstimator
 
 from tests.conftest import make_deterministic_pet
@@ -184,17 +188,6 @@ class TestMemoization:
         fresh = CompletionEstimator(est.model, memoize=False)
         assert pct.allclose(fresh.availability_pct(cluster[0], 1.0), atol=0.0)
 
-    def test_now_change_invalidates_keyed_mode(self, det_env):
-        """The legacy keyed mode keeps the seed behavior: any clock tick
-        is a cache miss."""
-        pet, cluster, sim, _ = det_env
-        est = CompletionEstimator(pet, memoize="keyed")
-        put(cluster, sim, 0, 0)
-        est.availability_pct(cluster[0], 0.0)
-        misses = est.cache_misses
-        est.availability_pct(cluster[0], 1.0)
-        assert est.cache_misses > misses
-
     def test_memoize_off(self, det_env):
         pet, cluster, sim, _ = det_env
         est = CompletionEstimator(pet, memoize=False)
@@ -221,16 +214,30 @@ class TestMemoization:
             without.chance_of_success(t, cluster[0], 0.0)
         )
 
-    def test_cache_capacity_bounds_memory(self, det_env):
-        """Keyed caches are real LRUs: bounded size, one eviction per
-        insert once full (not the old clear-everything policy)."""
-        pet, cluster, sim, _ = det_env
-        est = CompletionEstimator(pet, memoize="keyed", cache_capacity=4)
-        put(cluster, sim, 0, 0)
-        for now in range(20):
-            est.availability_pct(cluster[0], float(now))
-        assert len(est._chain_cache) <= 4
-        assert est._chain_cache.evictions >= 16
+    def test_cache_capacity_bounds_memory(self, monkeypatch):
+        """The product cache is a real LRU: bounded size, one eviction
+        per insert once full (not the old clear-everything policy).  The
+        evictions show in ``cache_stats()`` and survive a snapshot
+        round-trip."""
+        monkeypatch.setattr(completion, "CACHE_CAPACITY", 4)
+        pet = PETMatrix(
+            [[PMF.from_dict({2: 0.5, 3: 0.5})], [PMF.from_dict({1: 0.5, 4: 0.5})]]
+        )
+        cluster = Cluster.heterogeneous(1)
+        sim = Simulator()
+        est = CompletionEstimator(pet)
+        for i in range(12):
+            put(cluster, sim, 0, i, ttype=i % 2)
+        # One product per queued task behind the running one: 11 inserts.
+        est.availability_pct(cluster[0], 0.0)
+        assert len(est._product_cache) <= 4
+        assert est._product_cache.evictions == 7
+        assert est.cache_stats()["evictions"] == 7
+
+        payload = json.loads(json.dumps(_dump_estimator(est)))
+        heir = CompletionEstimator(pet)
+        _load_estimator(heir, payload)
+        assert heir.cache_stats() == est.cache_stats()
 
     def test_lru_evicts_coldest_not_everything(self, det_env):
         pet, _, _, _ = det_env

@@ -338,7 +338,7 @@ def check_campaign_payload(path: Path) -> list[str]:
             f"{path.name}: benchmark is {payload['benchmark']!r}, not 'campaign-sharding'"
         )
     identical = payload["identical"]
-    for leg in ("auto", "thread", "process", "warm"):
+    for leg in ("auto", "process", "warm"):
         if not identical.get(leg):
             errors.append(f"{path.name}: {leg} executor diverged from serial")
     total = payload["workload"].get("total_trials")
@@ -456,7 +456,7 @@ def check_estimator_payload(path: Path) -> list[str]:
     except (OSError, ValueError) as exc:
         return [f"{path.name}: unreadable ({exc})"]
 
-    for key in ("events_per_sec", "ratio_seed_over_incremental",
+    for key in ("events_per_sec", "ratio_naive_over_incremental",
                 "speedup_pr4_session_matched", "identical_outcomes"):
         if key not in payload:
             errors.append(f"{path.name}: missing key {key!r}")
@@ -464,10 +464,10 @@ def check_estimator_payload(path: Path) -> list[str]:
         return errors
     if not payload["identical_outcomes"]:
         errors.append(f"{path.name}: committed run had divergent outcomes")
-    if payload["ratio_seed_over_incremental"] < 3.0:
+    if payload["ratio_naive_over_incremental"] < 3.0:
         errors.append(
-            f"{path.name}: seed-over-incremental ratio "
-            f"{payload['ratio_seed_over_incremental']:.2f}x < 3x"
+            f"{path.name}: naive-over-incremental ratio "
+            f"{payload['ratio_naive_over_incremental']:.2f}x < 3x"
         )
     if payload["speedup_pr4_session_matched"] < MIN_SPEEDUP_PR4:
         errors.append(
