@@ -5,8 +5,8 @@ controllers:
 
 * :class:`ControlSignals` — an immutable snapshot of everything a
   controller may observe at one mapping event (cumulative outcome
-  counters, the since-last-event miss horizon, queue depths, the mean
-  observed chance of success, per-type sufferage, the live setpoints).
+  counters, the since-last-event miss horizon, queue depths, per-type
+  sufferage, the live setpoints).
   Controllers never see the simulator, the cluster, or a clock other
   than ``now`` — a controller is a pure function of its config and the
   stream of snapshots, which is the subsystem's determinism contract.
@@ -71,11 +71,6 @@ class ControlSignals:
     batch_queued: int
     #: Tasks executing right now.
     running: int
-    #: Running mean of every Eq. 2 chance-of-success the estimator
-    #: answered so far (``None`` until the first query).  Identical
-    #: across memoize modes: the accumulator sits at the query boundary,
-    #: above every cache layer.
-    mean_chance: float | None
     #: Per-type sufferage scores γ_k (live view of the Fairness module).
     sufferage: Mapping[int, float] = field(default_factory=dict)
     # -- current setpoints ----------------------------------------------

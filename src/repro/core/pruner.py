@@ -91,7 +91,6 @@ class Pruner:
     def control_tick(
         self,
         cluster: Cluster,
-        estimator: CompletionEstimator,
         now: float,
         *,
         mapping_events: int,
@@ -128,7 +127,6 @@ class Pruner:
                 queued=queued,
                 batch_queued=batch_queued,
                 running=running,
-                mean_chance=estimator.observed_mean_chance(),
                 sufferage=self.fairness.scores(),
                 beta=self.setpoints.beta,
                 alpha=self.setpoints.alpha,

@@ -355,11 +355,12 @@ class PMF:
         if self.probs.size == 0:
             return 0.0
         tol = min(CDF_REL_EPS * max(1.0, abs(t), abs(self.offset)), CDF_TOL_CAP)
-        k = math.floor(t - self.offset + tol)
-        if k < 0:
+        x = t - self.offset + tol
+        if not x >= 0.0:  # below the support (also -inf and NaN)
             return 0.0
-        k = min(k, self.probs.size - 1)
-        return float(self.cumulative()[k])
+        # Clip before flooring, so an infinite deadline reads the last
+        # bin as it does in batch_cdf_at.
+        return float(self.cumulative()[math.floor(min(x, self.probs.size - 1))])
 
     def sf_at(self, t: float) -> float:
         """Survival function ``P(X > t)`` including tail mass."""

@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 from ..core.accounting import Accounting
 from ..core.pruner import Pruner
-from ..heuristics.base import BatchHeuristic, ImmediateHeuristic
+from ..heuristics.base import BatchHeuristic, ImmediateHeuristic, PlanBatch
 from ..sim.cluster import Cluster
 from ..sim.engine import Simulator
 from ..sim.machine import Machine
@@ -250,7 +250,6 @@ class ResourceAllocator(abc.ABC):
         # event and move β/α before any decision consumes them.
         pruner.control_tick(
             self.cluster,
-            self.estimator,
             self.sim.now,
             mapping_events=self.mapping_events,
             batch_queued=self._batch_depth(),
@@ -419,19 +418,22 @@ class BatchAllocator(ResourceAllocator):
         self._pruning_prologue()
 
         # Fig. 5 steps 7–11: repeatedly plan and dispatch; deferred tasks
-        # leave the eligible set for this event but stay in the batch
-        # queue for the next one.
+        # leave the eligible batch for this event but stay in the batch
+        # queue for the next one.  The batch carries the planner's state
+        # across rounds, so a round that dispatched nothing (every
+        # placement deferred) re-plans without rebuilding it.
         defer_enabled = self.pruner is not None and self.pruner.config.enable_deferring
-        eligible = list(self.batch_queue)
+        eligible = PlanBatch(self.batch_queue)
         while eligible and self.cluster.any_free_slot():
             plan = self.heuristic.plan(eligible, self.cluster, self.estimator, now)
             if not plan:
                 break
             if defer_enabled:
-                # One batched Eq. 2 query for the whole plan.  A dispatch
-                # inside the loop mutates its machine's queue, so chances
-                # of later placements on that machine are recomputed
-                # point-wise against the live state (version guard).
+                # One Eq. 2 query for the whole plan, deduplicated per
+                # (task type, machine).  A dispatch inside the loop
+                # mutates its machine's queue, so chances of later
+                # placements on that machine are recomputed point-wise
+                # against the live state (version guard).
                 plan_versions = [machine.version for _, machine in plan]
                 plan_chances = self.estimator.chances_for_pairs(plan, now)
             consumed: set[int] = set()
@@ -457,7 +459,7 @@ class BatchAllocator(ResourceAllocator):
                 self._dispatch(task, machine)
             if not consumed:
                 break
-            eligible = [t for t in eligible if t.task_id not in consumed]
+            eligible.retire(consumed)
 
     def _remove_from_batch(self, task: Task) -> None:
         for idx, queued in enumerate(self.batch_queue):

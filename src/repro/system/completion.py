@@ -27,13 +27,16 @@ cache**:
   cached chain stays bit-identical to a fresh one.  Entries whose
   truncation/trimming made them anchor-dependent fall back to real
   convolution.
-* ``cluster_queue_chances`` / ``chances_for`` / ``chances_for_pairs`` /
-  ``queue_chances`` answer a pruner's or allocator's whole cluster-wide
-  scan in one batched :func:`~repro.stochastic.pmf.batch_cdf_at` pass —
-  grid queries deduplicate distinct (task type, machine) pairs before
-  any distribution work, ``queue_chances(start=i)`` resumes a drop scan
-  from the drop index, and ``cluster_expected_available`` is the scalar
-  mirror for the batch heuristics' phase 1.
+* ``cluster_queue_chances`` / ``chances_for`` / ``queue_chances``
+  answer a pruner's or admission gate's whole cluster-wide scan in one
+  batched :func:`~repro.stochastic.pmf.batch_cdf_at` pass — grid
+  queries deduplicate distinct (task type, machine) pairs before any
+  distribution work, and ``queue_chances(start=i)`` resumes a drop scan
+  from the drop index.  ``chances_for_pairs``, the allocator's
+  few-placement defer check, deduplicates the same way and answers
+  with scalar ``cdf_at`` (identical values, no gather).
+  ``cluster_expected_available`` is the scalar mirror for the batch
+  heuristics' phase 1.
 * Chain extensions run through the allocation-lean
   :meth:`~repro.stochastic.pmf.PMF.convolve_truncated` fast path with
   cumulative sums placed in a :class:`~repro.stochastic.pmf.BufferArena`,
@@ -341,14 +344,6 @@ class CompletionEstimator:
         self.convolutions = 0
         self.convolutions_avoided = 0
         self.chance_evaluations = 0
-        # Chance-of-success observation for the control plane
-        # (:mod:`repro.control`).  Accumulated at the query boundary —
-        # *above* every cache layer — so the running mean is identical
-        # across memoize modes; off by default so the paper's
-        # configurations pay nothing for it.
-        self.observe_chances = False
-        self.chance_obs_count = 0
-        self.chance_obs_sum = 0.0
         #: DAG workloads: the system wires the run's DependencyTracker
         #: here.  When set, chance queries (a) record each parent task's
         #: own Eq. 2 estimate for its dependents' critical-path factors
@@ -994,24 +989,6 @@ class CompletionEstimator:
         self.convolutions += 1
         return avail.convolve(pet, max_support=self.max_support).truncate(now + self.horizon)
 
-    def observed_mean_chance(self) -> float | None:
-        """Running mean of every chance-of-success answered so far.
-
-        ``None`` until the first query or while ``observe_chances`` is
-        off.  The accumulator sits at the query boundary (above every
-        cache layer), so the mean is a function of the *answers* — and
-        answers are identical across memoize modes — which is what lets
-        adaptive controllers consume it without breaking mode identity.
-        """
-        if not self.chance_obs_count:
-            return None
-        return self.chance_obs_sum / self.chance_obs_count
-
-    def _observe_chance_array(self, values: np.ndarray) -> None:
-        """Fold one batch of answered chances into the running mean."""
-        self.chance_obs_count += int(values.size)
-        self.chance_obs_sum += float(values.sum())
-
     def chance_of_success(self, task: Task, machine: Machine, now: float) -> float:
         """Eq. 2 for a task about to be appended to ``machine``'s queue.
 
@@ -1026,9 +1003,6 @@ class CompletionEstimator:
             factor = self.dag.chance_factor(task)
             if factor < 1.0:
                 chance = chance * factor
-        if self.observe_chances:
-            self.chance_obs_count += 1
-            self.chance_obs_sum += float(chance)
         return chance
 
     def queue_chances(
@@ -1076,8 +1050,6 @@ class CompletionEstimator:
             # dependents' critical-path factors.
             for k in range(count):
                 self.dag.note_estimate(queue[start + k].task_id, float(chances[k]))
-        if self.observe_chances:
-            self._observe_chance_array(chances)
         return chances
 
     # ------------------------------------------------------------------
@@ -1170,12 +1142,6 @@ class CompletionEstimator:
             for machine, chances in zip(machines, results):
                 for task, c in zip(machine.queue, chances):  # type: ignore[arg-type]
                     self.dag.note_estimate(task.task_id, float(c))
-        if self.observe_chances:
-            # Observe the *answers* (cached reuses included): the answer
-            # stream is identical across memoize modes even when the
-            # work to produce it is not.
-            for chances in results:
-                self._observe_chance_array(chances)  # type: ignore[arg-type]
         return results  # type: ignore[return-value]
 
     def _chances_still_current(
@@ -1256,8 +1222,6 @@ class CompletionEstimator:
             )
             if np.any(factors < 1.0):
                 grid = grid * factors[:, None]
-        if self.observe_chances:
-            self._observe_chance_array(grid)
         return grid
 
     def chances_for_pairs(
@@ -1268,32 +1232,30 @@ class CompletionEstimator:
         This is the allocator's defer-check query: one entry per planned
         placement, evaluated against the machines' *current* queues,
         deduplicated per distinct (task type, machine) pair like
-        :meth:`chances_for`.
+        :meth:`chances_for`.  A plan holds a few placements (at most the
+        free queue slots), so each entry is answered by a scalar
+        :meth:`~repro.stochastic.pmf.PMF.cdf_at` on its shared PCT:
+        it reads the same cumulative array with the same boundary
+        tolerance as :func:`batch_cdf_at`, without the gather's fixed
+        NumPy cost.
         """
-        pairs = list(pairs)
-        pmfs: list[PMF] = []
-        uniq: dict[tuple[int, int], int] = {}
-        index = np.empty(len(pairs), dtype=np.int64)
-        deadlines = np.empty(len(pairs), dtype=np.float64)
-        for pos, (task, machine) in enumerate(pairs):
+        pcts: dict[tuple[int, int], PMF] = {}
+        chances: list[float] = []
+        dag = self.dag
+        for task, machine in pairs:
             key = (task.task_type, machine.machine_id)
-            slot = uniq.get(key)
-            if slot is None:
-                slot = uniq[key] = len(pmfs)
-                pmfs.append(self.pct_for_new(task.task_type, machine, now))
-            index[pos] = slot
-            deadlines[pos] = task.deadline
-        self.chance_evaluations += index.size
-        chances = batch_cdf_at(pmfs, deadlines, index, arena=self._arena)
-        if self.dag is not None:
-            # Planned placements are released tasks (parents completed,
-            # factor 1); recording their estimates keeps dependents'
-            # factors fresh between queue scans.
-            for pos, (task, _machine) in enumerate(pairs):
-                self.dag.note_estimate(task.task_id, float(chances[pos]))
-        if self.observe_chances:
-            self._observe_chance_array(chances)
-        return chances
+            pct = pcts.get(key)
+            if pct is None:
+                pct = pcts[key] = self.pct_for_new(task.task_type, machine, now)
+            chance = pct.cdf_at(task.deadline)
+            if dag is not None:
+                # Planned placements are released tasks (parents
+                # completed, factor 1); recording their estimates keeps
+                # dependents' factors fresh between queue scans.
+                dag.note_estimate(task.task_id, chance)
+            chances.append(chance)
+        self.chance_evaluations += len(chances)
+        return np.array(chances, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, int]:

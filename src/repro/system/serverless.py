@@ -145,11 +145,6 @@ class ServerlessSystem:
         self.pruner: Pruner | None = (
             Pruner(pruning, self.accounting) if pruning is not None else None
         )
-        if self.pruner is not None and self.pruner.driver is not None:
-            # The control plane consumes the estimator's mean observed
-            # chance of success; the accumulator is off otherwise so the
-            # paper's configurations pay nothing for it.
-            self.estimator.observe_chances = True
 
         sampler = self._sample_execution
         if mode == "immediate":

@@ -41,7 +41,6 @@ def signals(
         queued=0,
         batch_queued=0,
         running=0,
-        mean_chance=None,
         sufferage={},
     )
     defaults.update(kw)

@@ -10,6 +10,8 @@ bit-identity of the allocation-lean ``convolve_truncated`` hot path.
 """
 
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,11 +58,12 @@ class TestGridBoundaryTolerance:
 
     def test_batch_matches_scalar_at_boundaries(self):
         p = PMF([0.5, 0.5], offset=0.3)
-        times = [1.2999999, 1.3, 1.2, 0.3, 0.29999995, 0.2, -1.0]
+        times = [1.2999999, 1.3, 1.2, 0.3, 0.29999995, 0.2, -1.0, math.inf]
         got = batch_cdf_at([p] * len(times), times)
         want = [p.cdf_at(t) for t in times]
         assert got.tolist() == want
-        assert got.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0]
+        assert got.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0, 1.0]
+        assert p.cdf_at(-math.inf) == 0.0
 
     def test_batch_exact_grid_points(self):
         """Deadlines exactly on grid points count their bin, shifted or not."""

@@ -1,12 +1,18 @@
 """Golden-trace regression suite.
 
-Three canonical traces (static / churn / bursty — committed under
-``tests/golden/``) are replayed through fully pinned system
-configurations and the resulting ``SimulationResult.to_dict()`` is
-diffed *exactly* against committed fixtures.  Any refactor that shifts
-schedules — event ordering, RNG stream consumption, estimator changes
-with behavioral side effects, churn timing — fails here first, by
-design, instead of silently moving every figure.
+Canonical traces (static / churn / bursty / adaptive / DAG / adapted
+public trace — committed under ``tests/golden/``) are replayed through
+fully pinned system configurations and the resulting
+``SimulationResult.to_dict()`` is diffed *exactly* against committed
+fixtures.  Any refactor that shifts schedules — event ordering, RNG
+stream consumption, estimator changes with behavioral side effects,
+churn timing — fails here first, by design, instead of silently moving
+every figure.
+
+Outcomes (``<name>.expected.json``) and the estimator's cache counters
+(``counters.json``) are checked by separate tests, both exactly: a
+cache change that saves lookups moves only the counter tests, and the
+outcome tests still prove it changed no schedule.
 
 After an *intentional* behavior change, regenerate with::
 
@@ -17,25 +23,25 @@ and review the fixture diff like code.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import pet_matrix
-from repro.sim.dynamics import DynamicsSpec
-from repro.system.serverless import ServerlessSystem
 from repro.workload.trace import load_trace
 
 # The replay recipe must be the regenerator's, not a copy of it — a
 # drift between the two would pin fixtures against a different config
 # than the one that produced them.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from make_golden import case_pruning, run_case_live  # noqa: E402
+from make_golden import run_case, run_case_live, split_counters  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN_DIR / "cases.json").read_text())
+COUNTERS = json.loads((GOLDEN_DIR / "counters.json").read_text())
+CASE_IDS = [c["name"] for c in CASES]
 
 
 def _diff(expected: dict, actual: dict) -> str:
@@ -48,40 +54,69 @@ def _diff(expected: dict, actual: dict) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_trace_replay_is_exact(case):
-    tasks, spec = load_trace(GOLDEN_DIR / f"{case['name']}.trace.json")
+def _expected(name: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{name}.expected.json").read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _run(name: str, driver: str) -> tuple[dict, dict]:
+    """``(outcomes, counters)`` of one case replayed by the simulator
+    (``"replay"``) or streamed through the live service (``"live"``)."""
+    case = next(c for c in CASES if c["name"] == name)
+    tasks, spec = load_trace(GOLDEN_DIR / f"{name}.trace.json")
     assert spec is not None  # fixtures carry their generating spec
-    system = ServerlessSystem(
-        pet_matrix("inconsistent"),
-        case["heuristic"],
-        pruning=case_pruning(case),
-        seed=case["seed"],
-        dynamics=DynamicsSpec(**case["dynamics"]) if case["dynamics"] else None,
-    )
-    actual = system.run(tasks).to_dict()
-    expected = json.loads((GOLDEN_DIR / f"{case['name']}.expected.json").read_text())
+    run = run_case if driver == "replay" else run_case_live
+    return split_counters(run(case, tasks))
+
+
+@pytest.mark.parametrize("name", CASE_IDS, ids=CASE_IDS)
+def test_golden_trace_replay_is_exact(name):
+    actual, _ = _run(name, "replay")
+    expected = _expected(name)
     assert actual == expected, (
-        f"golden trace {case['name']} diverged — if the behavior change is "
+        f"golden trace {name} diverged — if the behavior change is "
         f"intentional, regenerate with `python tools/make_golden.py`:\n"
         f"{_diff(expected, actual)}"
     )
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_trace_live_service_is_byte_identical(case):
+@pytest.mark.parametrize("name", CASE_IDS, ids=CASE_IDS)
+def test_golden_trace_live_service_is_byte_identical(name):
     """Replay-vs-live equivalence: the same golden trace streamed through
     the scheduler *service* under a virtual clock must reproduce the
     committed fixture byte-identically — the sim engine and the live
     driver are two drivers over one mapping core, and this is the proof."""
-    tasks, spec = load_trace(GOLDEN_DIR / f"{case['name']}.trace.json")
-    assert spec is not None
-    actual = run_case_live(case, tasks)
-    expected = json.loads((GOLDEN_DIR / f"{case['name']}.expected.json").read_text())
+    actual, _ = _run(name, "live")
+    expected = _expected(name)
     assert actual == expected, (
-        f"live service diverged from golden trace {case['name']}:\n"
+        f"live service diverged from golden trace {name}:\n"
         f"{_diff(expected, actual)}"
     )
+
+
+@pytest.mark.parametrize("name", CASE_IDS, ids=CASE_IDS)
+def test_golden_counters_replay_are_exact(name):
+    _, actual = _run(name, "replay")
+    expected = COUNTERS[name]
+    assert actual == expected, (
+        f"estimator counters of golden trace {name} moved — if the cache "
+        f"change is intentional, regenerate with `python tools/make_golden.py`:\n"
+        f"{_diff(expected, actual)}"
+    )
+
+
+@pytest.mark.parametrize("name", CASE_IDS, ids=CASE_IDS)
+def test_golden_counters_live_service_are_exact(name):
+    _, actual = _run(name, "live")
+    expected = COUNTERS[name]
+    assert actual == expected, (
+        f"live service estimator counters diverged on golden trace {name}:\n"
+        f"{_diff(expected, actual)}"
+    )
+
+
+def test_golden_counters_cover_every_case():
+    assert sorted(COUNTERS) == sorted(CASE_IDS)
 
 
 def test_golden_covers_dynamics_and_static():
@@ -108,8 +143,6 @@ def test_golden_covers_adaptive_controller():
 def test_golden_fixtures_round_trip_through_result_dict():
     from repro.metrics.collector import SimulationResult
 
-    for case in CASES:
-        payload = json.loads(
-            (GOLDEN_DIR / f"{case['name']}.expected.json").read_text()
-        )
+    for name in CASE_IDS:
+        payload = {**_expected(name), "estimator_stats": COUNTERS[name]}
         assert SimulationResult.from_dict(payload).to_dict() == payload

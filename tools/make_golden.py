@@ -13,12 +13,17 @@ Produces (all deterministic — fixed seeds, no wall-clock input):
 * ``tests/golden/<name>.trace.json`` — the workload trace each scenario
   replays (format v2; v3 when the workload carries DAG edges);
 * ``tests/golden/<name>.expected.json`` — the exact
-  ``SimulationResult.to_dict()`` the replay must reproduce.
+  ``SimulationResult.to_dict()`` the replay must reproduce, minus the
+  estimator's cache counters;
+* ``tests/golden/counters.json`` — those counters (``estimator_stats``)
+  for every case, kept apart so a cache change that leaves every
+  outcome alone touches only this file.
 
-``tests/test_golden.py`` replays every case and diffs the result
-*exactly*, so any refactor that shifts schedules — event ordering, RNG
-stream consumption, estimator behavior with side effects — fails loudly
-instead of silently changing every figure.
+``tests/test_golden.py`` replays every case and diffs outcomes and
+counters *exactly*, in separate tests, so any refactor that shifts
+schedules — event ordering, RNG stream consumption, estimator behavior
+with side effects — fails loudly instead of silently changing every
+figure.
 
 Run after an *intentional* behavior change, then review the fixture
 diff like any other code change::
@@ -56,6 +61,7 @@ from repro.workload.trace import (  # noqa: E402
 )
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+COUNTERS_PATH = GOLDEN_DIR / "counters.json"
 TRACES_DIR = REPO_ROOT / "examples" / "traces"
 DATA_DIR = REPO_ROOT / "tests" / "data"
 
@@ -244,6 +250,13 @@ def case_pruning(case: dict) -> PruningConfig | None:
     return pruning
 
 
+def split_counters(payload: dict) -> tuple[dict, dict]:
+    """``(outcomes, counters)`` of one result payload: the counters are
+    its ``estimator_stats``, the outcomes everything else."""
+    outcomes = dict(payload)
+    return outcomes, outcomes.pop("estimator_stats")
+
+
 def run_case(case: dict, tasks) -> dict:
     """Replay one golden case — the exact recipe tests/test_golden.py uses."""
     pet = pet_matrix("inconsistent")
@@ -304,6 +317,7 @@ def main() -> int:
     print(f"wrote {DATA_DIR / 'azure_mini.csv'} + {DATA_DIR / 'gcluster_mini.csv'}")
 
     manifest = []
+    counters = {}
     for case in CASES:
         if "trace_from" in case:
             # Adapted public trace: normalize the raw CSV through its
@@ -337,6 +351,7 @@ def main() -> int:
             raise SystemExit(
                 f"replay-vs-live divergence in {case['name']} (fields: {diverged})"
             )
+        expected, counters[case["name"]] = split_counters(expected)
         expected_path = GOLDEN_DIR / f"{case['name']}.expected.json"
         expected_path.write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n")
         manifest.append(
@@ -350,6 +365,8 @@ def main() -> int:
 
     (GOLDEN_DIR / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {GOLDEN_DIR / 'cases.json'} ({len(manifest)} cases)")
+    COUNTERS_PATH.write_text(json.dumps(counters, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {COUNTERS_PATH}")
     return 0
 
 
